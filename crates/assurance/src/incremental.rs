@@ -30,10 +30,8 @@ use crate::ir::CaseIr;
 use crate::memo::MemoStore;
 use crate::plan::EvalPlan;
 use crate::propagation::{eval_ir_node, ConfidenceReport, NodeConfidence};
-use crate::trace::Tracer;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What one edit (or one session so far) cost and saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,24 +162,6 @@ impl Incremental {
         Self::build(case, Memo::Shared(store))
     }
 
-    /// [`Incremental::with_memo`] with the same `full_propagate` phase
-    /// reported to `tracer` as [`Incremental::new_traced`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Incremental::new`].
-    pub fn with_memo_traced<T: Tracer + ?Sized>(
-        case: Case,
-        store: Arc<dyn MemoStore>,
-        tracer: &T,
-    ) -> Result<Self> {
-        let started = Instant::now();
-        let session = Self::with_memo(case, store)?;
-        tracer.phase("full_propagate", started.elapsed());
-        tracer.count("case_nodes", session.ir.len() as u64);
-        Ok(session)
-    }
-
     fn build(case: Case, memo: Memo) -> Result<Self> {
         case.validate()?;
         let ir = CaseIr::build(&case)?;
@@ -193,20 +173,6 @@ impl Incremental {
         for &t in &topo {
             session.eval_node(t as usize);
         }
-        Ok(session)
-    }
-
-    /// [`Incremental::new`] with a `full_propagate` phase (validate,
-    /// lower, compile, seed the memo) reported to `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Incremental::new`].
-    pub fn new_traced<T: Tracer + ?Sized>(case: Case, tracer: &T) -> Result<Self> {
-        let started = Instant::now();
-        let session = Self::new(case)?;
-        tracer.phase("full_propagate", started.elapsed());
-        tracer.count("case_nodes", session.ir.len() as u64);
         Ok(session)
     }
 
@@ -281,24 +247,6 @@ impl Incremental {
         Ok(self.delta(before))
     }
 
-    /// [`Incremental::set_confidence`] with a `dirty_spine` phase and a
-    /// `spine_nodes` count (recomputed + reused) reported to `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Incremental::set_confidence`].
-    pub fn set_confidence_traced<T: Tracer + ?Sized>(
-        &mut self,
-        id: NodeId,
-        confidence: f64,
-        tracer: &T,
-    ) -> Result<EditStats> {
-        let started = Instant::now();
-        let stats = self.set_confidence(id, confidence)?;
-        report_spine(tracer, started, &stats);
-        Ok(stats)
-    }
-
     /// Adds a new evidence or assumption leaf under `parent`. Structure
     /// changes rebuild the IR and plan (cheap, no float work); values
     /// are still only recomputed along the dirty spine.
@@ -343,27 +291,6 @@ impl Incremental {
         Ok((id, self.delta(before)))
     }
 
-    /// [`Incremental::add_leaf`] with the same `dirty_spine` phase and
-    /// `spine_nodes` count as [`Incremental::set_confidence_traced`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Incremental::add_leaf`].
-    pub fn add_leaf_traced<T: Tracer + ?Sized>(
-        &mut self,
-        parent: NodeId,
-        name: impl Into<String>,
-        statement: impl Into<String>,
-        kind: LeafKind,
-        confidence: f64,
-        tracer: &T,
-    ) -> Result<(NodeId, EditStats)> {
-        let started = Instant::now();
-        let (id, stats) = self.add_leaf(parent, name, statement, kind, confidence)?;
-        report_spine(tracer, started, &stats);
-        Ok((id, stats))
-    }
-
     /// Replaces the support edge `parent → from` with `parent → to`
     /// (position-preserving, see [`Case::retarget_support`]), then
     /// recomputes the dirty spine above `parent`.
@@ -380,25 +307,6 @@ impl Incremental {
             self.eval_node(d as usize);
         }
         Ok(self.delta(before))
-    }
-
-    /// [`Incremental::retarget`] with the same `dirty_spine` phase and
-    /// `spine_nodes` count as [`Incremental::set_confidence_traced`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Incremental::retarget`].
-    pub fn retarget_traced<T: Tracer + ?Sized>(
-        &mut self,
-        parent: NodeId,
-        from: NodeId,
-        to: NodeId,
-        tracer: &T,
-    ) -> Result<EditStats> {
-        let started = Instant::now();
-        let stats = self.retarget(parent, from, to)?;
-        report_spine(tracer, started, &stats);
-        Ok(stats)
     }
 
     /// Relowers the IR and plan after a structural edit. Node indices
@@ -434,13 +342,6 @@ impl Incremental {
             nodes_reused: self.reused - before.nodes_reused,
         }
     }
-}
-
-/// Shared phase report of the traced edit entry points: the elapsed
-/// `dirty_spine` phase plus how many spine nodes the edit touched.
-fn report_spine<T: Tracer + ?Sized>(tracer: &T, started: Instant, stats: &EditStats) {
-    tracer.phase("dirty_spine", started.elapsed());
-    tracer.count("spine_nodes", stats.nodes_recomputed + stats.nodes_reused);
 }
 
 #[cfg(test)]

@@ -56,7 +56,6 @@ pub mod monte_carlo;
 pub mod plan;
 pub mod propagation;
 pub mod templates;
-pub mod trace;
 
 pub use error::CaseError;
 pub use graph::{Case, Combination, NodeId, NodeKind, CASE_SCHEMA_VERSION};
@@ -67,4 +66,3 @@ pub use memo::{MemoStore, MemoStoreStats, SharedMemo};
 pub use monte_carlo::{MonteCarlo, MonteCarloReport};
 pub use plan::EvalPlan;
 pub use propagation::{ConfidenceReport, NodeConfidence};
-pub use trace::{NoTracer, Tracer};

@@ -41,12 +41,10 @@
 use crate::error::{CaseError, Result};
 use crate::graph::{Case, NodeId};
 use crate::plan::EvalPlan;
-use crate::trace::Tracer;
 use rand::rngs::{StdRng, WideStdRng};
 use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Samples per parallel chunk. Fixed (not derived from the thread
 /// count) so the chunk→stream mapping is invariant under the worker
@@ -290,27 +288,6 @@ impl<'p> MonteCarlo<'p> {
         Ok(run_parallel(plan, self.samples, self.seed, self.threads))
     }
 
-    /// [`MonteCarlo::run_plan`] with an `mc_sample_loop` phase (the
-    /// whole chunked parallel loop, measured on the calling thread once
-    /// the scoped workers have joined) and an `mc_samples` count
-    /// reported to `tracer`. Sampling is unchanged — the report stays
-    /// bit-identical to the untraced call.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonteCarlo::run_plan`].
-    pub fn run_plan_traced<T: Tracer + ?Sized>(
-        &self,
-        plan: &EvalPlan,
-        tracer: &T,
-    ) -> Result<MonteCarloReport> {
-        let started = Instant::now();
-        let report = self.run_plan(plan)?;
-        tracer.phase("mc_sample_loop", started.elapsed());
-        tracer.count("mc_samples", u64::from(self.samples));
-        Ok(report)
-    }
-
     /// Like [`MonteCarlo::run_plan`], but polls `should_stop` between
     /// chunk claims (at most 8×[`CHUNK_SAMPLES`] structure
     /// evaluations per worker) and abandons the run when it answers `true` — the hook
@@ -329,29 +306,6 @@ impl<'p> MonteCarlo<'p> {
     ) -> Result<Option<MonteCarloReport>> {
         check_samples(self.samples)?;
         Ok(run_parallel_until(plan, self.samples, self.seed, self.threads, should_stop))
-    }
-
-    /// [`MonteCarlo::run_plan_until`] with the same `mc_sample_loop`
-    /// phase and `mc_samples` count as [`MonteCarlo::run_plan_traced`].
-    /// A stopped run (`Ok(None)`) still reports the phase — the time
-    /// was spent — but no sample count, since no report was produced.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonteCarlo::run_plan_until`].
-    pub fn run_plan_until_traced<T: Tracer + ?Sized>(
-        &self,
-        plan: &EvalPlan,
-        should_stop: &(dyn Fn() -> bool + Sync),
-        tracer: &T,
-    ) -> Result<Option<MonteCarloReport>> {
-        let started = Instant::now();
-        let report = self.run_plan_until(plan, should_stop)?;
-        tracer.phase("mc_sample_loop", started.elapsed());
-        if report.is_some() {
-            tracer.count("mc_samples", u64::from(self.samples));
-        }
-        Ok(report)
     }
 
     /// Runs sequentially with a caller-owned RNG (the reference

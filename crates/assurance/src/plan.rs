@@ -15,12 +15,10 @@ use crate::error::{CaseError, Result};
 use crate::graph::{Case, Combination, NodeId};
 use crate::ir::{CaseIr, Fnv, IrKind};
 use crate::propagation::{ConfidenceReport, NodeConfidence};
-use crate::trace::Tracer;
 use rand::rngs::WideStdRng;
 use rand::Rng;
 use rand::RngCore;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// 2⁵³ as an `f64` — the scale of the 53-bit uniform variate every
 /// Bernoulli draw consumes.
@@ -125,21 +123,6 @@ impl EvalPlan {
         case.validate()?;
         let ir = CaseIr::build(case)?;
         Ok(Self::from_ir(&ir))
-    }
-
-    /// [`EvalPlan::compile`] with a `plan_compile` phase reported to
-    /// `tracer`; with [`crate::NoTracer`] the hook inlines away and only
-    /// two clock reads remain.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvalPlan::compile`].
-    pub fn compile_traced<T: Tracer + ?Sized>(case: &Case, tracer: &T) -> Result<Self> {
-        let started = Instant::now();
-        let plan = Self::compile(case)?;
-        tracer.phase("plan_compile", started.elapsed());
-        tracer.count("plan_steps", plan.shape.steps.len() as u64);
-        Ok(plan)
     }
 
     /// Lowers an already-built IR into a plan. The IR's topological
@@ -530,28 +513,6 @@ impl EvalPlan {
     /// [`CaseError::InvalidStructure`] for an empty batch or when the
     /// plans do not all share one shape.
     pub fn propagate_batch(plans: &[&EvalPlan]) -> Result<Vec<ConfidenceReport>> {
-        Self::propagate_batch_traced(plans, &crate::trace::NoTracer)
-    }
-
-    /// [`EvalPlan::propagate_batch`] with a `batch_propagate` phase and
-    /// a `batch_lanes` count reported to `tracer`. The float work is
-    /// identical — results stay bit-for-bit equal to the untraced call.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvalPlan::propagate_batch`].
-    pub fn propagate_batch_traced<T: Tracer + ?Sized>(
-        plans: &[&EvalPlan],
-        tracer: &T,
-    ) -> Result<Vec<ConfidenceReport>> {
-        let started = Instant::now();
-        let reports = Self::propagate_batch_inner(plans)?;
-        tracer.phase("batch_propagate", started.elapsed());
-        tracer.count("batch_lanes", plans.len() as u64);
-        Ok(reports)
-    }
-
-    fn propagate_batch_inner(plans: &[&EvalPlan]) -> Result<Vec<ConfidenceReport>> {
         let first = *plans
             .first()
             .ok_or_else(|| CaseError::InvalidStructure("empty evaluation batch".into()))?;

@@ -54,7 +54,7 @@ use crate::protocol::{
 use crate::snapshot::{Manifest, ManifestCase, Store, VersionRecord};
 use crate::stats::{CompileCounters, RobustnessCounters, RobustnessEvent, ServiceStats};
 use crate::storage_io::{RealIo, StorageIo};
-use crate::telemetry::{self, MetricsRegistry, Telemetry, TlsTracer};
+use crate::telemetry::{self, MetricsRegistry, Telemetry};
 use crate::wal::{FsyncPolicy, Wal, WalOp, WalRecord};
 use depcase::assurance::{
     importance, Case, ConfidenceReport, EditStats, EvalPlan, Incremental, MemoStore,
@@ -1315,15 +1315,14 @@ impl Engine {
     /// and recording the recompute/reuse split in the compile counters.
     fn compile_case(&self, case: &Case) -> Result<CompiledCase, WireError> {
         telemetry::with_span("plan_compile", || {
-            let session = match &self.memo {
-                Some(store) => Incremental::with_memo_traced(
-                    case.clone(),
-                    Arc::clone(store) as Arc<dyn MemoStore>,
-                    &TlsTracer,
-                ),
-                None => Incremental::new_traced(case.clone(), &TlsTracer),
-            }
+            let session = telemetry::with_span("full_propagate", || match &self.memo {
+                Some(store) => {
+                    Incremental::with_memo(case.clone(), Arc::clone(store) as Arc<dyn MemoStore>)
+                }
+                None => Incremental::new(case.clone()),
+            })
             .map_err(|e| WireError::from(depcase::Error::from(e)))?;
+            telemetry::count_event("case_nodes", session.ir().len() as u64);
             let totals = session.totals();
             lock_unpoisoned(&self.stats).note_compile(totals.nodes_recomputed, totals.nodes_reused);
             Ok(CompiledCase { plan: session.plan().clone(), report: session.report(), session })
@@ -1508,8 +1507,9 @@ impl Engine {
                 continue;
             }
             let plans: Vec<&EvalPlan> = group.iter().map(|&p| &cold[p].3).collect();
-            match EvalPlan::propagate_batch_traced(&plans, &TlsTracer) {
+            match telemetry::with_span("batch_propagate", || EvalPlan::propagate_batch(&plans)) {
                 Ok(reports) => {
+                    telemetry::count_event("batch_lanes", plans.len() as u64);
                     for (&p, report) in group.iter().zip(&reports) {
                         let (entry, case, idxs, _) = &cold[p];
                         fill(answers, idxs, Response::Ok(eval_value(entry, case, report)));
@@ -1711,20 +1711,18 @@ impl Engine {
         // `deadline_exceeded` arrives within one chunk of the budget
         // instead of after the full sampling time. A completed run is
         // bit-identical to the unpolled path.
-        let report = match deadline {
-            None => runner
-                .run_plan_traced(&compiled.plan, &TlsTracer)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))?,
-            Some(d) => runner
-                .run_plan_until_traced(&compiled.plan, &move || Instant::now() >= d, &TlsTracer)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))?
-                .ok_or_else(|| {
-                    WireError::new(
-                        ErrorCode::DeadlineExceeded,
-                        "request deadline exceeded mid-sampling; partial results are discarded",
-                    )
-                })?,
-        };
+        let report = telemetry::with_span("mc_sample_loop", || match deadline {
+            None => runner.run_plan(&compiled.plan).map(Some),
+            Some(d) => runner.run_plan_until(&compiled.plan, &move || Instant::now() >= d),
+        })
+        .map_err(|e| WireError::from(depcase::Error::from(e)))?
+        .ok_or_else(|| {
+            WireError::new(
+                ErrorCode::DeadlineExceeded,
+                "request deadline exceeded mid-sampling; partial results are discarded",
+            )
+        })?;
+        telemetry::count_event("mc_samples", u64::from(samples));
         let mut estimates = Vec::new();
         for (id, node) in compiled.session.case().iter() {
             if let Some(estimate) = report.estimate(id) {
@@ -1895,36 +1893,34 @@ fn verify_object(store: &Store, hash: u64) -> Result<Case, String> {
 /// the live `edit` path and WAL replay, so a logged action re-executes
 /// through exactly the code that produced the acked response.
 fn apply_action(session: &mut Incremental, action: &EditAction) -> Result<EditStats, WireError> {
-    match action {
+    let stats = match action {
         EditAction::SetConfidence { node, confidence } => {
             let id = resolve(session.case(), node)?;
-            session
-                .set_confidence_traced(id, *confidence, &TlsTracer)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))
+            telemetry::with_span("dirty_spine", || session.set_confidence(id, *confidence))
         }
         EditAction::AddLeaf { parent, node, statement, kind, confidence } => {
             let p = resolve(session.case(), parent)?;
-            session
-                .add_leaf_traced(
+            telemetry::with_span("dirty_spine", || {
+                session.add_leaf(
                     p,
                     node.clone(),
                     statement.clone().unwrap_or_default(),
                     kind.to_lib(),
                     *confidence,
-                    &TlsTracer,
                 )
-                .map(|(_, delta)| delta)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))
+            })
+            .map(|(_, delta)| delta)
         }
         EditAction::Retarget { parent, from, to } => {
             let p = resolve(session.case(), parent)?;
             let f = resolve(session.case(), from)?;
             let t = resolve(session.case(), to)?;
-            session
-                .retarget_traced(p, f, t, &TlsTracer)
-                .map_err(|e| WireError::from(depcase::Error::from(e)))
+            telemetry::with_span("dirty_spine", || session.retarget(p, f, t))
         }
     }
+    .map_err(|e| WireError::from(depcase::Error::from(e)))?;
+    telemetry::count_event("spine_nodes", stats.nodes_recomputed + stats.nodes_reused);
+    Ok(stats)
 }
 
 /// Resolves a wire node name against a case, answering the library's

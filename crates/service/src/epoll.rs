@@ -1,34 +1,29 @@
 //! Readiness-driven TCP transport: one I/O thread multiplexes every
-//! connection through `epoll`, in front of the same worker pool the
-//! thread-per-connection transport uses.
-//!
-//! The thread-per-connection model ([`crate::server`], `--io threads`)
-//! spends two OS threads per connection (reader + writer) — fine for
-//! tens of clients, hopeless for thousands of mostly-idle monitoring
-//! sessions. This module replaces the transport layer only:
+//! connection through `epoll`, in front of the worker pool of
+//! [`crate::server`].
 //!
 //! - **One I/O thread** owns the listener, every connection socket,
-//!   and the epoll instance. Nothing else touches a socket.
+//!   and the epoll instance. Nothing else touches a socket, so
+//!   thousands of mostly-idle connections cost no threads.
 //! - **Non-blocking sockets, edge-triggered wakeups.** Each readiness
 //!   edge drains the socket to `WouldBlock` (reads) or empties the
 //!   write buffer (writes), the invariant edge-triggering requires.
 //! - **Per-connection buffers.** Bytes accumulate in a read buffer
 //!   until a full NDJSON line is framed; responses queue in arrival
-//!   order (FIFO per connection, exactly like the threaded writer) and
-//!   flush as the socket accepts them.
-//! - **The worker pool is unchanged.** Framed lines become [`Job`]s on
+//!   order (FIFO per connection) and flush as the socket accepts them.
+//! - **Workers never touch sockets.** Framed lines become [`Job`]s on
 //!   the shared queue; workers execute them and deposit the response
 //!   into the connection's reply slot, then wake the I/O thread over a
 //!   socketpair (the classic self-pipe pattern — `epoll_wait` cannot
 //!   watch a condvar).
 //!
-//! Robustness semantics match the threaded transport: connection cap
-//! and queue overflow answer `overloaded`, oversized lines answer
-//! `request_too_large` without killing the connection, idle
-//! connections are reaped after `read_timeout`, a client that stops
-//! draining responses is disconnected once its write buffer passes a
-//! bound, and shutdown stops reading, flushes what it can inside
-//! `drain_deadline`, and exits.
+//! Robustness rules: the connection cap and queue overflow answer
+//! `overloaded`, oversized lines answer `request_too_large` without
+//! killing the connection, idle connections are reaped after
+//! `read_timeout`, a client that stops draining responses is
+//! disconnected once its write buffer passes a bound, and shutdown
+//! stops reading, flushes what it can inside `drain_deadline`, and
+//! exits.
 //!
 //! The container has no crates.io access, so the four syscalls epoll
 //! needs are declared by hand below — the only unsafe code in the
@@ -180,8 +175,7 @@ impl Notifier {
 
 /// Bound on buffered-but-unsent response bytes per connection: a client
 /// that stops reading is disconnected rather than growing the buffer
-/// without limit (the readiness-loop analogue of the threaded
-/// transport's socket write timeout).
+/// without limit.
 const WRITE_BUF_CAP: usize = 4 << 20;
 
 const LISTENER_TOKEN: u64 = 0;
@@ -250,10 +244,10 @@ enum ConnState {
     Close,
 }
 
-/// Runs the readiness loop until shutdown completes its drain (or
-/// `abort` cuts it short). Owns the listener, every connection, and
-/// the epoll instance; returns only at shutdown or on a fatal epoll
-/// error (socket-level errors only ever kill their own connection).
+/// Runs the readiness loop until shutdown completes its drain. Owns the
+/// listener, every connection, and the epoll instance; returns only at
+/// shutdown or on a fatal epoll error (socket-level errors only ever
+/// kill their own connection).
 pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> io::Result<()> {
     let ep = Epoll::new()?;
     listener.set_nonblocking(true)?;
@@ -330,12 +324,14 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> io::Result<()
 
         if shutting_down {
             // Drain: no new reads or accepts; keep flushing responses
-            // for already-accepted work until everything owed is out,
-            // the drain deadline expires, or shutdown aborts.
+            // for already-accepted work until everything owed is out or
+            // the drain window, which opens here, closes. This is the
+            // only drain window: shutdown abandons queued jobs once the
+            // loop returns.
             let since = *draining_since.get_or_insert_with(Instant::now);
             let everything_out = shared.queue.len() == 0 && conns.values().all(Conn::flushed);
             let expired = since.elapsed() >= shared.config.drain_deadline;
-            if everything_out || expired || shared.abort.load(Ordering::SeqCst) {
+            if everything_out || expired {
                 return Ok(());
             }
             // Late completions may have filled slots without an event
@@ -501,7 +497,7 @@ fn dispatch_line(
     }
     let slot = Arc::new(ReplySlot::default());
     conn.pending.push_back(Arc::clone(&slot));
-    let reply = Reply::Slot { slot, token, notifier: Arc::clone(notifier) };
+    let reply = Reply { slot, token, notifier: Arc::clone(notifier) };
     let job = Job { line, accepted: Instant::now(), reply };
     if let Err(job) = shared.queue.try_push(job) {
         let err = WireError::new(

@@ -79,7 +79,7 @@ pub use client::{code_is_retryable, Client, RetryPolicy, RetryingClient};
 pub use engine::{DurabilityConfig, Engine, EngineConfig, DEFAULT_MEMO_ENTRIES, DEFAULT_SHARDS};
 pub use faults::{FaultPlan, InjectedCounts};
 pub use protocol::{EditAction, Envelope, ErrorCode, EvalAt, Request, WireError, WireLeafKind};
-pub use server::{serve_stdio, serve_stdio_with, IoModel, Server, ServerConfig};
+pub use server::{serve_stdio, serve_stdio_with, Server, ServerConfig};
 pub use stats::{
     CompileCounters, DurabilityCounters, Histogram, IncrementalCounters, RobustnessCounters,
     RobustnessEvent, ServiceStats, StorageHealthCounters,
@@ -88,7 +88,7 @@ pub use storage_io::{
     AppendFile, CrashImage, FaultyIo, RealIo, SimIo, StorageFaultPlan, StorageInjectedCounts,
     StorageIo, TailVariant,
 };
-pub use telemetry::{MetricsRegistry, Telemetry, TlsTracer};
+pub use telemetry::{MetricsRegistry, Telemetry};
 pub use trace::{SpanRecord, Trace, TraceBuilder, TraceRing};
 pub use wal::FsyncPolicy;
 

@@ -2,13 +2,15 @@
 //! supervised worker pool with panic isolation, deadlines,
 //! backpressure, and graceful drain.
 //!
-//! The pool reuses the claiming discipline of the parallel Monte-Carlo
-//! engine: work sits in one shared queue and idle workers claim the
-//! next item the moment they free up, so a long `mc` on one worker
-//! never blocks a stream of cheap `eval`s on the others. Response order
-//! is still per-connection FIFO — each connection's reader hands the
-//! writer a queue of reply slots in arrival order, and the writer
-//! drains them in that order no matter which finishes first.
+//! TCP connections are multiplexed by one readiness-driven I/O thread
+//! ([`crate::epoll`]); this module owns what sits behind it. The pool
+//! reuses the claiming discipline of the parallel Monte-Carlo engine:
+//! work sits in one shared queue and idle workers claim the next item
+//! the moment they free up, so a long `mc` on one worker never blocks
+//! a stream of cheap `eval`s on the others. Response order is still
+//! per-connection FIFO — each request reserves a reply slot in arrival
+//! order, and the I/O thread flushes the slots in that order no matter
+//! which finishes first.
 //!
 //! The fault-tolerance layer (DESIGN §11) has four parts:
 //!
@@ -21,17 +23,18 @@
 //!   of propagating it ([`crate::lock_unpoisoned`]).
 //! - **Deadlines and slow-client defense.** Requests carry an optional
 //!   `deadline_ms` budget (or inherit [`ServerConfig::default_deadline_ms`])
-//!   measured from arrival, checked between pipeline stages. Sockets
-//!   get read/write timeouts, idle connections are reaped, and request
-//!   lines are length-capped — an oversized line answers
-//!   `request_too_large` and the connection survives.
+//!   measured from arrival, checked between pipeline stages. Idle
+//!   connections are reaped, a client that stops reading is dropped
+//!   once its unsent replies pass a bound, and request lines are
+//!   length-capped — an oversized line answers `request_too_large` and
+//!   the connection survives.
 //! - **Backpressure.** The job queue is bounded
 //!   ([`ServerConfig::queue_capacity`]); overflow answers `overloaded`
 //!   with a `retry_after_ms` hint immediately instead of queueing
 //!   without bound, and concurrent connections are capped.
 //! - **Graceful drain.** Shutdown stops accepting, lets workers drain
-//!   queued jobs up to [`ServerConfig::drain_deadline`], then aborts
-//!   the remainder; the final stats snapshot is always dumped.
+//!   queued jobs for one [`ServerConfig::drain_deadline`] window, then
+//!   abandons the remainder; the final stats snapshot is always dumped.
 //!
 //! A seeded [`FaultPlan`] can inject worker panics, request delays, and
 //! connection drops to exercise all of the above deterministically.
@@ -48,32 +51,13 @@ use crate::stats::RobustnessEvent;
 use crate::telemetry;
 use crate::trace::TraceBuilder;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufWriter, Write};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Which transport multiplexes TCP connections onto the worker pool.
-///
-/// Both models share everything behind the transport — the same job
-/// queue, workers, supervisor, protocol, shedding, and drain semantics —
-/// and produce byte-identical responses; they differ only in how many
-/// OS threads a connection costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// One readiness-driven I/O thread multiplexes every connection
-    /// through `epoll` with non-blocking sockets and edge-triggered
-    /// wakeups ([`crate::epoll`]); scales to thousands of mostly-idle
-    /// connections. The default.
-    #[default]
-    Epoll,
-    /// Two OS threads (reader + writer) per connection; simple and
-    /// fine for tens of clients (`--io threads`).
-    Threads,
-}
 
 /// Tunables for a [`Server`] (and, where applicable, [`serve_stdio_with`]).
 #[derive(Debug, Clone)]
@@ -92,21 +76,15 @@ pub struct ServerConfig {
     /// Default per-request time budget, applied when a request carries
     /// no `deadline_ms` of its own. `None` means no default deadline.
     pub default_deadline_ms: Option<u64>,
-    /// Socket read timeout; doubles as the idle-connection reaper.
+    /// A connection with no traffic for this long is reaped.
     pub read_timeout: Duration,
-    /// Socket write timeout: a client that stops draining responses is
-    /// disconnected rather than pinning a writer forever.
-    pub write_timeout: Duration,
-    /// How long [`Server::shutdown`] waits for queued jobs to drain
-    /// before abandoning them.
+    /// How long shutdown waits, from when it begins, for queued jobs to
+    /// drain and their replies to flush before abandoning the rest.
     pub drain_deadline: Duration,
     /// Backoff hint attached to `overloaded` responses.
     pub retry_after_ms: u64,
     /// Deterministic fault injection, when enabled (`--faults`).
     pub faults: Option<Arc<FaultPlan>>,
-    /// TCP transport model: readiness-driven `epoll` multiplexing or
-    /// thread-per-connection (`--io epoll|threads`).
-    pub io: IoModel,
 }
 
 impl Default for ServerConfig {
@@ -118,54 +96,35 @@ impl Default for ServerConfig {
             max_line_bytes: 1 << 20,
             default_deadline_ms: None,
             read_timeout: Duration::from_secs(60),
-            write_timeout: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
             retry_after_ms: 25,
             faults: None,
-            io: IoModel::default(),
         }
     }
 }
 
-/// Where a finished response goes: back to a per-connection writer
-/// thread (thread-per-connection transport), or into a reply slot whose
-/// connection the epoll I/O thread is then woken to flush.
-pub(crate) enum Reply {
-    /// Thread-per-connection: the connection's writer thread blocks on
-    /// the receiving end, preserving FIFO order via a slot queue. The
-    /// trace rides along so the writer can close its `reply_flush`
-    /// span after the bytes actually reach the socket.
-    Channel(mpsc::Sender<(String, Option<Box<TraceBuilder>>)>),
-    /// Readiness loop: deposit into the connection's FIFO slot and wake
-    /// the I/O thread to flush it.
-    Slot {
-        /// The reserved position in the connection's reply FIFO.
-        slot: Arc<crate::epoll::ReplySlot>,
-        /// Which connection to mark dirty.
-        token: u64,
-        /// The I/O thread's wakeup channel.
-        notifier: Arc<crate::epoll::Notifier>,
-    },
+/// Where a finished response goes: into its reply slot, whose
+/// connection the I/O thread is then woken to flush.
+pub(crate) struct Reply {
+    /// The reserved position in the connection's reply FIFO.
+    pub(crate) slot: Arc<crate::epoll::ReplySlot>,
+    /// Which connection to mark dirty.
+    pub(crate) token: u64,
+    /// The I/O thread's wakeup channel.
+    pub(crate) notifier: Arc<crate::epoll::Notifier>,
 }
 
 impl Reply {
-    /// Delivers one response (and the request's trace, still open in
-    /// its `reply_flush` span — the transport finalizes it once the
-    /// bytes are handed to the socket); a vanished recipient (client
-    /// hung up) is not an error.
+    /// Delivers one response and the request's trace, still open in
+    /// its `reply_flush` span (the I/O thread finalizes it once the
+    /// bytes are handed to the socket). A closed connection is not an
+    /// error: the slot is simply never read.
     pub(crate) fn send(&self, response: String, trace: Option<Box<TraceBuilder>>) {
-        match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send((response, trace));
-            }
-            Reply::Slot { slot, token, notifier } => {
-                // Trace first: the flusher pops a slot the moment it
-                // sees the response, so the trace must already be there.
-                *lock_unpoisoned(&slot.trace) = trace;
-                *lock_unpoisoned(&slot.response) = Some(response);
-                notifier.notify(*token);
-            }
-        }
+        // Trace first: the flusher pops a slot the moment it sees the
+        // response, so the trace must already be there.
+        *lock_unpoisoned(&self.slot.trace) = trace;
+        *lock_unpoisoned(&self.slot.response) = Some(response);
+        self.notifier.notify(self.token);
     }
 }
 
@@ -211,7 +170,7 @@ impl JobQueue {
     /// Blocks for the next job. Returns `None` once `shutdown` is
     /// flagged and the queue has drained (outstanding requests are
     /// always answered), or immediately once `abort` is flagged (the
-    /// drain deadline expired).
+    /// drain window closed).
     fn claim(&self, shutdown: &AtomicBool, abort: &AtomicBool) -> Option<Job> {
         let mut jobs = lock_unpoisoned(&self.jobs);
         loop {
@@ -232,25 +191,17 @@ impl JobQueue {
         lock_unpoisoned(&self.jobs).len()
     }
 
-    /// Drops every queued job; their reply slots close, which closes
-    /// the owning connections.
-    fn clear(&self) {
-        lock_unpoisoned(&self.jobs).clear();
-    }
-
     fn notify_all(&self) {
         self.available.notify_all();
     }
 }
 
-/// State shared by the transport (accept loop and connection threads,
-/// or the epoll I/O thread), the workers, and the supervisor.
+/// State shared by the I/O thread, the workers, and the supervisor.
 pub(crate) struct Shared {
     pub(crate) engine: Arc<Engine>,
     pub(crate) queue: JobQueue,
     pub(crate) shutdown: AtomicBool,
     pub(crate) abort: AtomicBool,
-    pub(crate) connections: AtomicUsize,
     pub(crate) config: ServerConfig,
 }
 
@@ -258,16 +209,6 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue.notify_all();
-    }
-}
-
-/// Decrements the live-connection count when a connection thread ends,
-/// however it ends.
-struct ConnGuard<'a>(&'a AtomicUsize);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -284,13 +225,13 @@ enum WorkerExit {
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    accept_handle: thread::JoinHandle<()>,
+    io_handle: thread::JoinHandle<()>,
     supervisor_handle: thread::JoinHandle<()>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// `workers` request workers plus accept and supervisor threads,
+    /// `workers` request workers plus I/O and supervisor threads,
     /// with every other knob at its [`ServerConfig`] default.
     ///
     /// # Errors
@@ -316,17 +257,13 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        engine.telemetry().set_transport(match config.io {
-            IoModel::Epoll => "epoll",
-            IoModel::Threads => "threads",
-        });
+        engine.telemetry().set_transport("epoll");
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             engine,
             queue: JobQueue::new(config.queue_capacity),
             shutdown: AtomicBool::new(false),
             abort: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
             config,
         });
 
@@ -341,35 +278,20 @@ impl Server {
             thread::spawn(move || supervise(&shared, workers, handles, &exit_rx, &exit_tx))
         };
 
-        let accept_handle = match shared.config.io {
-            IoModel::Epoll => {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || {
-                    if let Err(e) = crate::epoll::run(&listener, &shared) {
-                        // Losing the I/O thread is losing the service;
-                        // initiate shutdown so workers stop cleanly
-                        // instead of waiting on a queue nobody fills.
-                        eprintln!("depcase-service: epoll loop failed: {e}");
-                        shared.begin_shutdown();
-                    }
-                })
-            }
-            IoModel::Threads => {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let shared = Arc::clone(&shared);
-                        thread::spawn(move || serve_connection(&stream, &shared));
-                    }
-                })
-            }
+        let io_handle = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                if let Err(e) = crate::epoll::run(&listener, &shared) {
+                    // Losing the I/O thread is losing the service;
+                    // initiate shutdown so workers stop cleanly instead
+                    // of waiting on a queue nobody fills.
+                    eprintln!("depcase-service: epoll loop failed: {e}");
+                    shared.begin_shutdown();
+                }
+            })
         };
 
-        Ok(Server { shared, addr, accept_handle, supervisor_handle })
+        Ok(Server { shared, addr, io_handle, supervisor_handle })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -396,27 +318,21 @@ impl Server {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting, drains queued jobs up to the configured drain
-    /// deadline (requests already executing always finish), abandons
-    /// whatever is still queued after that, and joins all threads.
-    /// Idempotent with a wire-initiated shutdown.
+    /// Stops accepting, drains queued jobs for one drain window
+    /// measured from when shutdown began (requests already executing
+    /// always finish), abandons whatever is still queued after that,
+    /// and joins all threads. Idempotent with a wire-initiated shutdown.
     pub fn shutdown(self) {
-        let Server { shared, addr, accept_handle, supervisor_handle } = self;
+        let Server { shared, io_handle, supervisor_handle, .. } = self;
         shared.begin_shutdown();
-        // The accept loop only observes the flag on its next wakeup;
-        // poke it with a throwaway connection.
-        drop(TcpStream::connect(addr));
-        let _ = accept_handle.join();
-        let drain_until = Instant::now() + shared.config.drain_deadline;
-        while shared.queue.len() > 0 && Instant::now() < drain_until {
-            thread::sleep(Duration::from_millis(2));
-        }
+        // The I/O thread returns once everything owed is flushed or the
+        // drain window has passed. A job claimed after that would run
+        // with no transport left to flush its reply — a mutation would
+        // be applied and logged but never acknowledged — so abort now.
+        let _ = io_handle.join();
         shared.abort.store(true, Ordering::SeqCst);
         shared.queue.notify_all();
         let _ = supervisor_handle.join();
-        // Jobs the drain deadline abandoned: dropping them closes their
-        // reply slots, which lets their connections close.
-        shared.queue.clear();
         // Every worker is joined, so everything acked is in the WAL;
         // force it to stable storage regardless of fsync policy.
         if let Err(e) = shared.engine.flush_durability() {
@@ -606,9 +522,7 @@ enum LineRead {
     TooLong,
     /// Clean end of stream.
     Eof,
-    /// The socket read timed out (idle or stalled mid-line).
-    TimedOut,
-    /// Any other I/O failure.
+    /// An I/O failure.
     Failed,
 }
 
@@ -624,14 +538,6 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> LineRead {
         let chunk = match reader.fill_buf() {
             Ok(chunk) => chunk,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return LineRead::TimedOut
-            }
             Err(_) => return LineRead::Failed,
         };
         if chunk.is_empty() {
@@ -669,112 +575,6 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> LineRead {
             }
         }
     }
-}
-
-/// Reader half of a connection: enqueue each line, handing the writer
-/// the reply receivers in arrival order so responses stay FIFO even
-/// when workers finish out of order. Load shedding happens here —
-/// overflow and oversized lines are answered on the same FIFO slots,
-/// so pipelined clients still match every response to a request.
-fn serve_connection(stream: &TcpStream, shared: &Shared) {
-    let config = &shared.config;
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-
-    let active = shared.connections.fetch_add(1, Ordering::SeqCst) + 1;
-    let _guard = ConnGuard(&shared.connections);
-    if active > config.max_connections {
-        let refused = Instant::now();
-        let err = WireError::new(
-            ErrorCode::Overloaded,
-            format!("connection limit ({}) reached", config.max_connections),
-        )
-        .with_retry_after(config.retry_after_ms);
-        let mut writer = BufWriter::new(stream);
-        let _ = writeln!(writer, "{}", protocol::err_line(&None, &err));
-        let _ = writer.flush();
-        shared.engine.note_rejection(RobustnessEvent::Overloaded, refused.elapsed());
-        return;
-    }
-
-    let Ok(write_half) = stream.try_clone() else { return };
-    type ReplyRx = mpsc::Receiver<(String, Option<Box<TraceBuilder>>)>;
-    let (order_tx, order_rx) = mpsc::channel::<ReplyRx>();
-    let writer_engine = Arc::clone(&shared.engine);
-    let writer_handle = thread::spawn(move || {
-        let mut writer = BufWriter::new(write_half);
-        while let Ok(slot) = order_rx.recv() {
-            let Ok((response, trace)) = slot.recv() else { break };
-            if writeln!(writer, "{response}").and_then(|()| writer.flush()).is_err() {
-                break;
-            }
-            // The bytes are with the kernel: close `reply_flush` and
-            // publish the trace.
-            if let Some(tb) = trace {
-                writer_engine.telemetry().finish(*tb);
-            }
-        }
-    });
-
-    let mut reader = BufReader::new(stream);
-    loop {
-        // During drain, stop taking new work; in-flight replies still
-        // go out through the writer before the connection closes.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        match read_bounded_line(&mut reader, config.max_line_bytes) {
-            LineRead::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if config.faults.as_ref().is_some_and(|plan| plan.take_drop()) {
-                    // Injected fault: vanish mid-conversation, exactly
-                    // like a crashed client-side proxy would.
-                    break;
-                }
-                if order_tx.send(reply_rx).is_err() {
-                    break;
-                }
-                let job = Job { line, accepted: Instant::now(), reply: Reply::Channel(reply_tx) };
-                if let Err(job) = shared.queue.try_push(job) {
-                    let err = WireError::new(
-                        ErrorCode::Overloaded,
-                        format!(
-                            "request queue is full ({} queued); shed instead of queueing",
-                            config.queue_capacity
-                        ),
-                    )
-                    .with_retry_after(config.retry_after_ms);
-                    job.reply
-                        .send(protocol::err_line(&protocol::recover_id(&job.line), &err), None);
-                    shared
-                        .engine
-                        .note_rejection(RobustnessEvent::Overloaded, job.accepted.elapsed());
-                }
-            }
-            LineRead::TooLong => {
-                let rejected = Instant::now();
-                if order_tx.send(reply_rx).is_err() {
-                    break;
-                }
-                let err = WireError::new(
-                    ErrorCode::RequestTooLarge,
-                    format!("request line exceeds {} bytes", config.max_line_bytes),
-                );
-                let _ = reply_tx.send((protocol::err_line(&None, &err), None));
-                shared.engine.note_rejection(RobustnessEvent::RequestTooLarge, rejected.elapsed());
-            }
-            LineRead::TimedOut => {
-                shared.engine.note(RobustnessEvent::ConnectionReaped);
-                break;
-            }
-            LineRead::Eof | LineRead::Failed => break,
-        }
-    }
-    drop(order_tx);
-    let _ = writer_handle.join();
 }
 
 /// Serves NDJSON over stdin/stdout until EOF or a `shutdown` request,
@@ -824,7 +624,7 @@ pub fn serve_stdio_with(engine: &Engine, config: &ServerConfig) {
                 );
                 protocol::err_line(&None, &err)
             }
-            LineRead::Eof | LineRead::TimedOut | LineRead::Failed => break,
+            LineRead::Eof | LineRead::Failed => break,
         };
         if writeln!(writer, "{response}").and_then(|()| writer.flush()).is_err() {
             break;

@@ -14,9 +14,12 @@
 //! disabled pipeline pays is that one atomic load per request). The
 //! builder is driven through the root phases `queue_wait → parse →
 //! engine → reply_flush` and *installed in thread-local storage* while
-//! the engine runs, so every layer below — plan cache, WAL, fsync, the
-//! assurance kernels via [`TlsTracer`] — records child spans without a
-//! single signature carrying a tracer argument. The builder then rides
+//! the engine runs, so every layer below records child spans without a
+//! single signature carrying a tracer argument. The engine wraps each
+//! plan compile, assurance-kernel call and snapshot in [`with_span`]
+//! and reports what the call covered (nodes, lanes, samples) with
+//! [`count_event`]; the WAL reports its append and fsync with
+//! [`phase_event`]. The builder then rides
 //! the reply path (so `reply_flush` covers the actual socket write) and
 //! is handed to [`Telemetry::finish`], which freezes the tree, feeds
 //! the decomposition, checks the slow log, streams the Chrome events,
@@ -90,8 +93,7 @@ pub fn with_span<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
 }
 
 /// Records an already-measured phase ending now on the active trace
-/// (no-op without one) — how the WAL reports `wal_append`/`fsync` and
-/// how [`TlsTracer`] lands kernel phases.
+/// (no-op without one) — how the WAL reports `wal_append`/`fsync`.
 pub fn phase_event(name: &'static str, elapsed: Duration) {
     CURRENT.with(|c| {
         if let Some(tb) = c.borrow_mut().as_mut() {
@@ -107,22 +109,6 @@ pub fn count_event(name: &'static str, n: u64) {
             tb.count(name, n);
         }
     });
-}
-
-/// The assurance-crate [`Tracer`](depcase::assurance::trace::Tracer)
-/// writing kernel phase reports into the thread-local active trace.
-/// With tracing disabled no trace is installed, so each hook costs one
-/// thread-local read and a branch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TlsTracer;
-
-impl depcase::assurance::trace::Tracer for TlsTracer {
-    fn phase(&self, name: &'static str, elapsed: Duration) {
-        phase_event(name, elapsed);
-    }
-    fn count(&self, name: &'static str, n: u64) {
-        count_event(name, n);
-    }
 }
 
 /// Aggregate of one phase (or one op's end-to-end total): count, exact

@@ -203,9 +203,8 @@ impl TraceBuilder {
     }
 
     /// Records an already-completed phase of duration `dur_ns` ending
-    /// now, as a child of the innermost open span — how the assurance
-    /// kernels' [`Tracer`](depcase::assurance::trace::Tracer) phase
-    /// reports land in the tree.
+    /// now, as a child of the innermost open span — how the WAL's
+    /// append and fsync timings land in the tree.
     pub fn event_ns(&mut self, name: &'static str, dur_ns: u64) {
         let end = self.offset_ns(Instant::now());
         let parent = self.stack.last().copied();

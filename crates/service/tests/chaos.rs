@@ -13,6 +13,8 @@ use depcase_service::{
     Client, Engine, ErrorCode, FaultPlan, RetryPolicy, RetryingClient, Server, ServerConfig,
 };
 use serde::{Serialize, Value};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -378,6 +380,58 @@ fn connection_cap_sheds_excess_connections_then_recovers() {
         })
     });
     server.shutdown();
+}
+
+/// Shutdown drains inside one `drain_deadline` window, measured from
+/// when shutdown begins. Once it passes, queued jobs are abandoned:
+/// executing them would apply mutations whose replies no transport is
+/// left to flush. One worker with every request delayed 100 ms and a
+/// 150 ms window: at most the request in flight when the window closes
+/// may run unanswered.
+#[test]
+fn shutdown_abandons_queued_work_once_the_drain_window_closes() {
+    let config = ServerConfig {
+        drain_deadline: Duration::from_millis(150),
+        ..faulty_config(1, "seed=3,delay=1.0,delay_ms=100")
+    };
+    let engine = Arc::new(Engine::new(8));
+    let server = Server::start(Arc::clone(&engine), ("127.0.0.1", 0), config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut pipeline = format!("{}\n", load_line("reactor", &reactor_case()));
+    for i in 0..8 {
+        pipeline.push_str(&format!(
+            "{{\"op\":\"edit\",\"name\":\"reactor\",\"action\":\"set_confidence\",\
+             \"node\":\"E1\",\"confidence\":0.{}}}\n",
+            50 + i
+        ));
+    }
+    stream.write_all(pipeline.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    // The load and the first edit are answered; the second edit is now
+    // executing and six more wait in the queue.
+    for _ in 0..2 {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        parse_ok(&line);
+    }
+    let mut received = 2u64;
+    server.shutdown();
+    // Whatever the drain flushed, then the server-side close.
+    loop {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(n) if n > 0 => received += 1,
+            _ => break,
+        }
+    }
+    let handled = engine.stats_value().get("requests").and_then(Value::as_u64).unwrap();
+    assert!(
+        handled <= received + 1,
+        "{handled} requests executed but only {received} answered: \
+         queued work ran after the drain window closed"
+    );
 }
 
 /// The headline chaos run: four retrying clients hammer a server that

@@ -254,3 +254,94 @@ fn wire_traces_reconcile_and_chrome_export_parses() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The newest published trace. A trace is published as soon as its
+/// reply is written, before the transport reads the next request, so
+/// called right after a request this returns that request's trace.
+fn last_trace(client: &mut Client) -> Value {
+    let result = client.trace(1).unwrap();
+    result.get("traces").and_then(Value::as_array).unwrap()[0].clone()
+}
+
+/// The parent name of the one span called `name` (`None` for a root).
+fn parent_of(trace: &Value, name: &str) -> Option<String> {
+    let spans = trace.get("spans").and_then(Value::as_array).unwrap();
+    let named: Vec<&Value> =
+        spans.iter().filter(|s| s.get("name").and_then(Value::as_str) == Some(name)).collect();
+    assert_eq!(named.len(), 1, "expected exactly one `{name}` span in {trace:?}");
+    let parent = named[0].get("parent").and_then(Value::as_u64)?;
+    let parent = usize::try_from(parent).unwrap();
+    Some(spans[parent].get("name").and_then(Value::as_str).unwrap().to_string())
+}
+
+fn count_of(trace: &Value, name: &str) -> Option<u64> {
+    trace.get("counts").and_then(|c| c.get(name)).and_then(Value::as_u64)
+}
+
+/// Pins the spans the evaluation kernels report on the wire: their
+/// names, their parents and their counts. A one-entry plan cache makes
+/// the `eval` and the two-lane `batch` cold.
+#[test]
+fn kernel_spans_keep_their_names_parents_and_counts() {
+    let engine = Arc::new(Engine::new(1));
+    let server = Server::bind(Arc::clone(&engine), ("127.0.0.1", 0), 1).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (name, e1) in [("a", 0.95), ("b", 0.8), ("c", 0.7)] {
+        let mut case = reactor_case();
+        case.set_leaf_confidence(case.node_by_name("E1").unwrap(), e1).unwrap();
+        client.round_trip_value(&load_line(name, &case)).unwrap();
+    }
+    let engine_span = Some("engine".to_string());
+
+    // Cold eval: the compile wraps the full propagation of 4 nodes.
+    client.round_trip_value(r#"{"op":"eval","name":"a"}"#).unwrap();
+    let trace = last_trace(&mut client);
+    assert_eq!(trace.get("op").and_then(Value::as_str), Some("eval"));
+    assert_eq!(parent_of(&trace, "plan_compile"), engine_span);
+    assert_eq!(parent_of(&trace, "full_propagate").as_deref(), Some("plan_compile"));
+    assert_eq!(count_of(&trace, "case_nodes"), Some(4));
+
+    // Two cold cases of one shape share one batch-kernel pass.
+    let batch = client
+        .round_trip_value(
+            r#"{"v":2,"op":"batch","items":[{"op":"eval","name":"b"},{"op":"eval","name":"c"}]}"#,
+        )
+        .unwrap();
+    let items = batch.get("items").and_then(Value::as_array).unwrap();
+    assert!(items.iter().all(|i| i.get("ok") == Some(&Value::Bool(true))), "{batch:?}");
+    let trace = last_trace(&mut client);
+    assert_eq!(parent_of(&trace, "batch_propagate"), engine_span);
+    assert_eq!(count_of(&trace, "batch_lanes"), Some(2));
+
+    // A leaf edit recomputes the leaf and its two ancestors.
+    client
+        .round_trip_value(
+            r#"{"op":"edit","name":"a","action":"set_confidence","node":"E1","confidence":0.5}"#,
+        )
+        .unwrap();
+    let trace = last_trace(&mut client);
+    assert_eq!(parent_of(&trace, "dirty_spine"), engine_span);
+    assert_eq!(count_of(&trace, "spine_nodes"), Some(3));
+
+    client
+        .round_trip_value(r#"{"op":"mc","name":"a","samples":4096,"seed":7,"threads":1}"#)
+        .unwrap();
+    let trace = last_trace(&mut client);
+    assert_eq!(parent_of(&trace, "mc_sample_loop"), engine_span);
+    assert_eq!(count_of(&trace, "mc_samples"), Some(4096));
+
+    // A deadline-stopped run still reports the time it spent sampling,
+    // but no sample count: no report was produced.
+    let expired = client
+        .round_trip(
+            r#"{"op":"mc","name":"a","samples":500000000,"seed":7,"threads":1,"deadline_ms":200}"#,
+        )
+        .unwrap();
+    assert!(expired.contains("\"deadline_exceeded\""), "{expired}");
+    let trace = last_trace(&mut client);
+    assert_eq!(parent_of(&trace, "mc_sample_loop"), engine_span);
+    assert_eq!(count_of(&trace, "mc_samples"), None);
+
+    drop(client);
+    server.shutdown();
+}
